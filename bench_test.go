@@ -20,8 +20,10 @@ package cds
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cds/internal/arch"
@@ -29,6 +31,7 @@ import (
 	"cds/internal/alloc"
 	"cds/internal/core"
 	"cds/internal/machine"
+	"cds/internal/scherr"
 	"cds/internal/sim"
 	"cds/internal/workloads"
 )
@@ -512,6 +515,31 @@ func BenchmarkCompareAllUncached(b *testing.B) {
 	e := workloads.MPEG()
 	for i := 0; i < b.N; i++ {
 		if _, err := CompareAll(e.Arch, e.Part); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coldSpecIndex hands BenchmarkCompareAllCold a GenSpec index no earlier
+// op of this process has posed, across -count repetitions too.
+var coldSpecIndex atomic.Int64
+
+// BenchmarkCompareAllCold is the in-process mirror of the fleet
+// benchmark's cold-specs workload: every op builds a never-seen GenSpec
+// corpus point and compares it with result caching on, so each op pays
+// spec build, analysis, the three schedulers, the allocation replays,
+// the timing simulations and the cache insert (with eviction once the
+// cache is full). Infeasible points count like any other request.
+func BenchmarkCompareAllCold(b *testing.B) {
+	b.ReportAllocs()
+	prev := SetResultCaching(true)
+	defer SetResultCaching(prev)
+	for i := 0; i < b.N; i++ {
+		part, pa, err := workloads.GenSpec(97, int(coldSpecIndex.Add(1))).Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := CompareAll(pa, part); err != nil && !errors.Is(err, scherr.ErrInfeasible) {
 			b.Fatal(err)
 		}
 	}

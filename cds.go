@@ -125,8 +125,10 @@ type Result struct {
 	Schedule *Schedule
 	// Timing is the simulated execution.
 	Timing *Timing
-	// Allocation is the Frame Buffer replay (addresses, peaks, splits,
-	// regularity).
+	// Allocation is the Frame Buffer replay's summary: per-set peaks,
+	// splits and regularity. Pipeline results carry no event log
+	// (Events is nil); core.Allocate on the Schedule replays it with
+	// every address.
 	Allocation *Allocation
 }
 
@@ -152,7 +154,7 @@ func RunCtx(ctx context.Context, kind SchedulerKind, pa Arch, part *Part) (*Resu
 	if err := scherr.FromContext(ctx); err != nil {
 		return nil, err
 	}
-	alloc, err := core.Allocate(s, true)
+	alloc, err := core.AllocateSummary(s, true)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +366,7 @@ func runScheduler(ctx context.Context, sched core.Scheduler, pa Arch, part *Part
 	if err != nil {
 		return nil, err
 	}
-	alloc, err := core.Allocate(s, true)
+	alloc, err := core.AllocateSummary(s, true)
 	if err != nil {
 		return nil, err
 	}

@@ -13,11 +13,19 @@
 // To promote address regularity across loop iterations, an allocation can
 // name a preferred address (where the previous iteration of the same datum
 // lived); the allocator honors it when that exact region is free.
+//
+// Objects are identified by caller-chosen integer handles, so the
+// allocation replay never hashes or builds a string on its hot path;
+// names are only rendered, through SetNames, for error messages and
+// String.
 package alloc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cds/internal/scherr"
@@ -51,28 +59,41 @@ type Extent struct {
 // End returns the first address past the extent.
 func (e Extent) End() int { return e.Addr + e.Len }
 
-// Placement records where a named object lives. Objects normally occupy
-// one extent; a split object occupies several, in ascending address order.
+// Handle identifies an object in one FB. Callers choose handles; they
+// must be non-negative, and a dense range is cheapest because the live
+// set is indexed by handle.
+type Handle int32
+
+// Placement records where an object lives. Objects normally occupy one
+// extent, held inline so a non-split placement allocates nothing; a split
+// object occupies several, in ascending address order.
 type Placement struct {
-	Name    string
-	Extents []Extent
+	Handle Handle
+	first  Extent   // the lowest-addressed extent
+	rest   []Extent // a split object's further extents, ascending; nil otherwise
+}
+
+// Extents returns a copy of the placement's extents in ascending address
+// order.
+func (p Placement) Extents() []Extent {
+	return append([]Extent{p.first}, p.rest...)
 }
 
 // Bytes returns the total placed size.
 func (p Placement) Bytes() int {
-	n := 0
-	for _, e := range p.Extents {
+	n := p.first.Len
+	for _, e := range p.rest {
 		n += e.Len
 	}
 	return n
 }
 
 // Split reports whether the object was split across free blocks.
-func (p Placement) Split() bool { return len(p.Extents) > 1 }
+func (p Placement) Split() bool { return len(p.rest) > 0 }
 
 // Addr returns the address of the first extent (the canonical address used
 // for regularity across iterations).
-func (p Placement) Addr() int { return p.Extents[0].Addr }
+func (p Placement) Addr() int { return p.first.Addr }
 
 // FitPolicy selects which free block serves a request that fits several.
 type FitPolicy int
@@ -111,9 +132,14 @@ var ErrWouldSplit = scherr.Sentinel(scherr.ErrCapacity, "alloc: request fits onl
 // FB is one Frame Buffer set under allocation. The zero value is unusable;
 // use New.
 type FB struct {
-	size       int
-	free       []Extent // sorted by Addr, coalesced, non-empty lengths
-	live       map[string]Placement
+	size int
+	free []Extent // sorted by Addr, coalesced, non-empty lengths
+	// live holds the live placements in no particular order; slot[h]
+	// is handle h's index in live plus one, 0 when h is not placed.
+	live       []Placement
+	slot       []int32
+	names      func(Handle) string
+	occupied   []Extent // CheckInvariants' scratch
 	allowSplit bool
 	policy     FitPolicy
 
@@ -138,9 +164,20 @@ func New(size int, allowSplit bool) *FB {
 	return &FB{
 		size:       size,
 		free:       free,
-		live:       make(map[string]Placement),
 		allowSplit: allowSplit,
 	}
+}
+
+// SetNames sets how handles are named in errors, Live and String. The
+// default renders the handle number.
+func (fb *FB) SetNames(names func(Handle) string) { fb.names = names }
+
+// name renders a handle for messages.
+func (fb *FB) name(h Handle) string {
+	if fb.names != nil {
+		return fb.names(h)
+	}
+	return strconv.Itoa(int(h))
 }
 
 // SetFitPolicy changes the block-selection policy (FirstFit by default).
@@ -185,27 +222,30 @@ func (fb *FB) LargestFree() int {
 }
 
 // Lookup returns the placement of a live object.
-func (fb *FB) Lookup(name string) (Placement, bool) {
-	p, ok := fb.live[name]
-	return p, ok
+func (fb *FB) Lookup(h Handle) (Placement, bool) {
+	if h < 0 || int(h) >= len(fb.slot) || fb.slot[h] == 0 {
+		return Placement{}, false
+	}
+	return fb.live[fb.slot[h]-1], true
 }
 
 // Live returns the names of all live objects, sorted.
 func (fb *FB) Live() []string {
 	names := make([]string, 0, len(fb.live))
-	for n := range fb.live {
-		names = append(names, n)
+	for _, p := range fb.live {
+		names = append(names, fb.name(p.Handle))
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Reset empties the FB and clears statistics. The free list's backing
-// array and the live map are reused, so per-sweep-point FB churn (Reset
-// between points) does not allocate.
+// Reset empties the FB and clears statistics. The free list's and the
+// live set's backing arrays are reused, so per-sweep-point FB churn
+// (Reset between points) does not allocate.
 func (fb *FB) Reset() {
 	fb.free = append(fb.free[:0], Extent{Addr: 0, Len: fb.size})
-	clear(fb.live)
+	fb.live = fb.live[:0]
+	clear(fb.slot)
 	fb.used, fb.peakUsed, fb.splitCount, fb.allocCount = 0, 0, 0, 0
 }
 
@@ -213,35 +253,43 @@ func (fb *FB) Reset() {
 // chosen direction. If preferAddr is >= 0 and the exact region
 // [preferAddr, preferAddr+size) is free, the object is placed there to
 // keep iteration-to-iteration addresses regular.
-func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, error) {
-	if size <= 0 {
-		return Placement{}, fmt.Errorf("alloc: non-positive size %d for %q", size, name)
+func (fb *FB) Alloc(h Handle, size int, dir Dir, preferAddr int) (Placement, error) {
+	if h < 0 {
+		return Placement{}, fmt.Errorf("alloc: negative handle %d", h)
 	}
-	if _, dup := fb.live[name]; dup {
-		return Placement{}, fmt.Errorf("alloc: %q is already placed", name)
+	if size <= 0 {
+		return Placement{}, fmt.Errorf("alloc: non-positive size %d for %q", size, fb.name(h))
+	}
+	if _, dup := fb.Lookup(h); dup {
+		return Placement{}, fmt.Errorf("alloc: %q is already placed", fb.name(h))
 	}
 	if size > fb.Free() {
-		return Placement{}, fmt.Errorf("alloc: %q needs %d bytes, %d free: %w", name, size, fb.Free(), ErrNoSpace)
+		return Placement{}, fmt.Errorf("alloc: %q needs %d bytes, %d free: %w", fb.name(h), size, fb.Free(), ErrNoSpace)
 	}
 
-	var extents []Extent
+	p := Placement{Handle: h}
 	if preferAddr >= 0 && fb.regionFree(preferAddr, size) {
-		extents = []Extent{{Addr: preferAddr, Len: size}}
+		p.first = Extent{Addr: preferAddr, Len: size}
 	} else if e, ok := fb.firstFit(size, dir); ok {
-		extents = []Extent{e}
+		p.first = e
 	} else {
 		if !fb.allowSplit {
 			return Placement{}, fmt.Errorf("alloc: %q (%d bytes, largest free %d): %w",
-				name, size, fb.LargestFree(), ErrWouldSplit)
+				fb.name(h), size, fb.LargestFree(), ErrWouldSplit)
 		}
-		extents = fb.splitFit(size, dir)
+		extents := fb.splitFit(size, dir)
+		p.first, p.rest = extents[0], extents[1:]
 		fb.splitCount++
 	}
-	for _, e := range extents {
+	fb.carve(p.first)
+	for _, e := range p.rest {
 		fb.carve(e)
 	}
-	p := Placement{Name: name, Extents: extents}
-	fb.live[name] = p
+	if int(h) >= len(fb.slot) {
+		fb.slot = append(fb.slot, make([]int32, int(h)+1-len(fb.slot))...)
+	}
+	fb.live = append(fb.live, p)
+	fb.slot[h] = int32(len(fb.live))
 	fb.used += size
 	fb.allocCount++
 	if fb.used > fb.peakUsed {
@@ -253,13 +301,19 @@ func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, 
 // Release frees a live object and coalesces the free list (the paper's
 // release(c,k,iter)). Releasing an unknown name is an error: the
 // schedulers must have perfectly matched lifetimes.
-func (fb *FB) Release(name string) error {
-	p, ok := fb.live[name]
+func (fb *FB) Release(h Handle) error {
+	p, ok := fb.Lookup(h)
 	if !ok {
-		return fmt.Errorf("alloc: release of %q which is not placed", name)
+		return fmt.Errorf("alloc: release of %q which is not placed", fb.name(h))
 	}
-	delete(fb.live, name)
-	for _, e := range p.Extents {
+	// Swap-remove: the last live placement takes h's index.
+	i, last := fb.slot[h]-1, len(fb.live)-1
+	fb.live[i] = fb.live[last]
+	fb.slot[fb.live[i].Handle] = i + 1
+	fb.live = fb.live[:last]
+	fb.slot[h] = 0
+	fb.insertFree(p.first)
+	for _, e := range p.rest {
 		fb.insertFree(e)
 	}
 	fb.used -= p.Bytes()
@@ -435,17 +489,19 @@ func (fb *FB) CheckInvariants() error {
 		freeSum += e.Len
 	}
 	liveSum := 0
-	occupied := make([]Extent, 0, len(fb.live))
+	occupied := fb.occupied[:0]
 	for _, p := range fb.live {
-		for _, e := range p.Extents {
+		start := len(occupied)
+		occupied = append(append(occupied, p.first), p.rest...)
+		for _, e := range occupied[start:] {
 			if e.Len <= 0 || e.Addr < 0 || e.End() > fb.size {
-				return fmt.Errorf("alloc: live extent %+v of %q out of bounds", e, p.Name)
+				return fmt.Errorf("alloc: live extent %+v of %q out of bounds", e, fb.name(p.Handle))
 			}
-			occupied = append(occupied, e)
 			liveSum += e.Len
 		}
 	}
-	sort.Slice(occupied, func(i, j int) bool { return occupied[i].Addr < occupied[j].Addr })
+	fb.occupied = occupied
+	slices.SortFunc(occupied, func(a, b Extent) int { return cmp.Compare(a.Addr, b.Addr) })
 	for i := 1; i < len(occupied); i++ {
 		if occupied[i-1].End() > occupied[i].Addr {
 			return fmt.Errorf("alloc: live extents overlap: %+v and %+v", occupied[i-1], occupied[i])
@@ -477,8 +533,8 @@ func (fb *FB) String() string {
 	}
 	var segs []seg
 	for _, p := range fb.live {
-		for _, e := range p.Extents {
-			segs = append(segs, seg{e, p.Name})
+		for _, e := range p.Extents() {
+			segs = append(segs, seg{e, fb.name(p.Handle)})
 		}
 	}
 	for _, e := range fb.free {

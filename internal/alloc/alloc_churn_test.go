@@ -6,13 +6,12 @@ import (
 )
 
 // TestChurnAllocsPerCycle pins the steady-state allocation cost of the
-// BenchmarkAllocReleaseChurn cycle: 16 allocs + 16 releases. Each Alloc
-// necessarily allocates its Placement.Extents slice (callers keep the
-// Placement past Release), but the free-list bookkeeping — carve,
-// insertFree, Reset — must be allocation-free once warm. The seed spent
-// 32 allocs per cycle; the in-place carve halves that.
+// BenchmarkAllocReleaseChurn cycle: 16 allocs + 16 releases. A non-split
+// Placement holds its extent inline and the free-list bookkeeping —
+// carve, insertFree, Reset — reuses its arrays, so a warm cycle
+// allocates nothing.
 func TestChurnAllocsPerCycle(t *testing.T) {
-	fb := New(8192, false)
+	fb := newNamed(8192, false)
 	names := make([]string, 16)
 	for i := range names {
 		names[i] = fmt.Sprintf("o%d", i)
@@ -33,16 +32,16 @@ func TestChurnAllocsPerCycle(t *testing.T) {
 			}
 		}
 	}
-	cycle() // warm the map and the free list capacity
-	if avg := testing.AllocsPerRun(50, cycle); avg > 16 {
-		t.Errorf("churn cycle allocates %.1f times, want <= 16 (one Extents slice per Alloc)", avg)
+	cycle() // warm the live set and the free list capacity
+	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
+		t.Errorf("churn cycle allocates %.1f times, want 0", avg)
 	}
 }
 
 // TestResetDoesNotAllocate pins the satellite fix: per-sweep-point FB
-// churn (Reset between points) reuses the live map and free list.
+// churn (Reset between points) reuses the live set and free list.
 func TestResetDoesNotAllocate(t *testing.T) {
-	fb := New(4096, false)
+	fb := newNamed(4096, false)
 	if _, err := fb.Alloc("a", 256, FromTop, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +50,8 @@ func TestResetDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb.Reset()
-	}); avg > 1 { // the Alloc's own Extents slice
-		t.Errorf("Alloc+Reset allocates %.1f times, want <= 1", avg)
+	}); avg > 0 {
+		t.Errorf("Alloc+Reset allocates %.1f times, want 0", avg)
 	}
 	if err := fb.CheckInvariants(); err != nil {
 		t.Fatal(err)

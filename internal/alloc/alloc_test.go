@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-func mustAlloc(t *testing.T, fb *FB, name string, size int, dir Dir) Placement {
+func mustAlloc(t *testing.T, fb *namedFB, name string, size int, dir Dir) Placement {
 	t.Helper()
 	p, err := fb.Alloc(name, size, dir, -1)
 	if err != nil {
@@ -19,7 +19,7 @@ func mustAlloc(t *testing.T, fb *FB, name string, size int, dir Dir) Placement {
 }
 
 func TestAllocFromTopAndBottom(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	top := mustAlloc(t, fb, "data", 30, FromTop)
 	if top.Addr() != 70 {
 		t.Errorf("FromTop first alloc at %d, want 70", top.Addr())
@@ -37,7 +37,7 @@ func TestAllocFromTopAndBottom(t *testing.T) {
 }
 
 func TestAllocStacksFromEachEnd(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	a := mustAlloc(t, fb, "a", 10, FromTop) // 90..100
 	b := mustAlloc(t, fb, "b", 10, FromTop) // 80..90
 	c := mustAlloc(t, fb, "c", 10, FromBottom)
@@ -48,7 +48,7 @@ func TestAllocStacksFromEachEnd(t *testing.T) {
 }
 
 func TestReleaseCoalesces(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "a", 30, FromBottom) // 0..30
 	mustAlloc(t, fb, "b", 30, FromBottom) // 30..60
 	mustAlloc(t, fb, "c", 30, FromBottom) // 60..90
@@ -79,14 +79,14 @@ func TestReleaseCoalesces(t *testing.T) {
 }
 
 func TestReleaseUnknown(t *testing.T) {
-	fb := New(10, false)
+	fb := newNamed(10, false)
 	if err := fb.Release("ghost"); err == nil {
 		t.Fatal("Release(ghost) = nil, want error")
 	}
 }
 
 func TestAllocDuplicateName(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "x", 10, FromTop)
 	if _, err := fb.Alloc("x", 10, FromTop, -1); err == nil {
 		t.Fatal("duplicate alloc succeeded")
@@ -94,7 +94,7 @@ func TestAllocDuplicateName(t *testing.T) {
 }
 
 func TestAllocBadSize(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	if _, err := fb.Alloc("z", 0, FromTop, -1); err == nil {
 		t.Fatal("zero-size alloc succeeded")
 	}
@@ -104,7 +104,7 @@ func TestAllocBadSize(t *testing.T) {
 }
 
 func TestAllocNoSpace(t *testing.T) {
-	fb := New(100, true)
+	fb := newNamed(100, true)
 	mustAlloc(t, fb, "big", 90, FromTop)
 	_, err := fb.Alloc("more", 20, FromTop, -1)
 	if !errors.Is(err, ErrNoSpace) {
@@ -113,7 +113,7 @@ func TestAllocNoSpace(t *testing.T) {
 }
 
 func TestAllocWouldSplit(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "a", 40, FromBottom) // 0..40
 	mustAlloc(t, fb, "b", 20, FromBottom) // 40..60
 	mustAlloc(t, fb, "c", 40, FromBottom) // 60..100
@@ -131,7 +131,7 @@ func TestAllocWouldSplit(t *testing.T) {
 }
 
 func TestAllocSplit(t *testing.T) {
-	fb := New(100, true)
+	fb := newNamed(100, true)
 	mustAlloc(t, fb, "a", 40, FromBottom)
 	mustAlloc(t, fb, "b", 20, FromBottom)
 	mustAlloc(t, fb, "c", 40, FromBottom)
@@ -155,9 +155,10 @@ func TestAllocSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extents ascending.
-	for i := 1; i < len(p.Extents); i++ {
-		if p.Extents[i-1].Addr >= p.Extents[i].Addr {
-			t.Errorf("extents not ascending: %+v", p.Extents)
+	ext := p.Extents()
+	for i := 1; i < len(ext); i++ {
+		if ext[i-1].Addr >= ext[i].Addr {
+			t.Errorf("extents not ascending: %+v", ext)
 		}
 	}
 	if err := fb.Release("wide"); err != nil {
@@ -169,7 +170,7 @@ func TestAllocSplit(t *testing.T) {
 }
 
 func TestPreferredAddressRegularity(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	p1 := mustAlloc(t, fb, "d#0", 20, FromTop) // 80..100
 	mustAlloc(t, fb, "x", 10, FromTop)         // 70..80
 	if err := fb.Release("d#0"); err != nil {
@@ -195,7 +196,7 @@ func TestPreferredAddressRegularity(t *testing.T) {
 }
 
 func TestFirstFitSkipsSmallBlocks(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "a", 10, FromBottom)   // 0..10
 	mustAlloc(t, fb, "b", 30, FromBottom)   // 10..40
 	mustAlloc(t, fb, "c", 60, FromBottom)   // 40..100
@@ -212,7 +213,7 @@ func TestFirstFitSkipsSmallBlocks(t *testing.T) {
 }
 
 func TestPeakUsedTracksHighWater(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "a", 60, FromTop)
 	mustAlloc(t, fb, "b", 30, FromBottom)
 	if err := fb.Release("a"); err != nil {
@@ -227,7 +228,7 @@ func TestPeakUsedTracksHighWater(t *testing.T) {
 }
 
 func TestLookupAndLive(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "b", 10, FromTop)
 	mustAlloc(t, fb, "a", 10, FromTop)
 	if _, ok := fb.Lookup("a"); !ok {
@@ -243,7 +244,7 @@ func TestLookupAndLive(t *testing.T) {
 }
 
 func TestResetClears(t *testing.T) {
-	fb := New(100, true)
+	fb := newNamed(100, true)
 	mustAlloc(t, fb, "a", 50, FromTop)
 	fb.Reset()
 	if fb.Used() != 0 || fb.PeakUsed() != 0 || fb.Allocs() != 0 {
@@ -255,7 +256,7 @@ func TestResetClears(t *testing.T) {
 }
 
 func TestStringRendersSegments(t *testing.T) {
-	fb := New(100, false)
+	fb := newNamed(100, false)
 	mustAlloc(t, fb, "r13", 20, FromBottom)
 	mustAlloc(t, fb, "d37", 30, FromTop)
 	s := fb.String()
@@ -271,7 +272,7 @@ func TestStringRendersSegments(t *testing.T) {
 func TestRandomizedInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		fb := New(1+rng.Intn(4096), rng.Intn(2) == 0)
+		fb := newNamed(1+rng.Intn(4096), rng.Intn(2) == 0)
 		var names []string
 		id := 0
 		for op := 0; op < 300; op++ {
@@ -305,7 +306,7 @@ func TestRandomizedInvariants(t *testing.T) {
 // restores the exact free byte count.
 func TestQuickAllocReleaseRoundTrip(t *testing.T) {
 	f := func(szRaw uint16, dirRaw bool) bool {
-		fb := New(4096, true)
+		fb := newNamed(4096, true)
 		size := int(szRaw)%4096 + 1
 		dir := FromTop
 		if dirRaw {
@@ -325,5 +326,74 @@ func TestQuickAllocReleaseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// namedFB lets the tests address objects by name: each name is interned
+// as the next handle, and the FB renders handles back as their names.
+type namedFB struct {
+	*FB
+	ids   map[string]Handle
+	names []string
+}
+
+func newNamed(size int, allowSplit bool) *namedFB {
+	n := &namedFB{FB: New(size, allowSplit), ids: map[string]Handle{}}
+	n.SetNames(func(h Handle) string { return n.names[h] })
+	return n
+}
+
+func (n *namedFB) handle(name string) Handle {
+	h, ok := n.ids[name]
+	if !ok {
+		h = Handle(len(n.names))
+		n.ids[name] = h
+		n.names = append(n.names, name)
+	}
+	return h
+}
+
+func (n *namedFB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, error) {
+	return n.FB.Alloc(n.handle(name), size, dir, preferAddr)
+}
+
+func (n *namedFB) Release(name string) error { return n.FB.Release(n.handle(name)) }
+
+func (n *namedFB) Lookup(name string) (Placement, bool) { return n.FB.Lookup(n.handle(name)) }
+
+// TestHandleLiveSet: releases reorder the live set (swap-remove), yet
+// every remaining handle still finds its own placement, released and
+// never-placed handles are absent, and a negative handle is rejected.
+func TestHandleLiveSet(t *testing.T) {
+	fb := New(1000, false)
+	addrs := map[Handle]int{}
+	for h := Handle(0); h < 10; h++ {
+		p, err := fb.Alloc(h*3, 10+int(h), FromBottom, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[h*3] = p.Addr()
+	}
+	for _, h := range []Handle{0, 12, 27, 15} {
+		if err := fb.Release(h); err != nil {
+			t.Fatal(err)
+		}
+		delete(addrs, h)
+	}
+	for h := Handle(0); h < 40; h++ {
+		p, ok := fb.Lookup(h)
+		want, live := addrs[h]
+		if ok != live || (ok && (p.Handle != h || p.Addr() != want)) {
+			t.Errorf("Lookup(%d) = %+v, %v; want live=%v at %d", h, p, ok, live, want)
+		}
+	}
+	if err := fb.Release(12); err == nil || !strings.Contains(err.Error(), `"12"`) {
+		t.Errorf("second release of 12: %v", err)
+	}
+	if _, err := fb.Alloc(-1, 10, FromTop, -1); err == nil {
+		t.Error("negative handle accepted")
+	}
+	if err := fb.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,32 +1,25 @@
 package alloc
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkAllocReleaseChurn measures steady-state alloc/release cycles
 // with the two-sided discipline the schedulers use.
 func BenchmarkAllocReleaseChurn(b *testing.B) {
 	fb := New(8192, false)
-	names := make([]string, 16)
-	for i := range names {
-		names[i] = fmt.Sprintf("o%d", i)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, n := range names {
+		for j := 0; j < 16; j++ {
 			dir := FromTop
 			if j%2 == 1 {
 				dir = FromBottom
 			}
-			if _, err := fb.Alloc(n, 64+j*16, dir, -1); err != nil {
+			if _, err := fb.Alloc(Handle(j), 64+j*16, dir, -1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for _, n := range names {
-			if err := fb.Release(n); err != nil {
+		for j := 0; j < 16; j++ {
+			if err := fb.Release(Handle(j)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -43,22 +36,23 @@ func BenchmarkFirstFitFragmented(b *testing.B) {
 			fb.SetFitPolicy(pol)
 			// Build fragmentation: allocate 128 blocks, free every other.
 			for i := 0; i < 128; i++ {
-				if _, err := fb.Alloc(fmt.Sprintf("f%d", i), 256, FromBottom, -1); err != nil {
+				if _, err := fb.Alloc(Handle(i), 256, FromBottom, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
 			for i := 0; i < 128; i += 2 {
-				if err := fb.Release(fmt.Sprintf("f%d", i)); err != nil {
+				if err := fb.Release(Handle(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			const probe = Handle(128)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fb.Alloc("probe", 128, FromTop, -1); err != nil {
+				if _, err := fb.Alloc(probe, 128, FromTop, -1); err != nil {
 					b.Fatal(err)
 				}
-				if err := fb.Release("probe"); err != nil {
+				if err := fb.Release(probe); err != nil {
 					b.Fatal(err)
 				}
 			}

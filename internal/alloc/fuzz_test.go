@@ -11,7 +11,7 @@ func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{10, 200, 3, 1, 130, 7})
 	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		fb := New(4096, len(ops)%2 == 0)
+		fb := newNamed(4096, len(ops)%2 == 0)
 		if len(ops) > 0 {
 			fb.SetFitPolicy(FitPolicy(int(ops[0]) % 3))
 		}

@@ -107,16 +107,24 @@ func (p *Program) Count(op Op) int {
 }
 
 // Generate lowers the schedule. It replays the allocation algorithm to
-// learn every instance's address, then emits per visit: LDCTXT for each
-// kernel whose contexts move, LDFB for each input instance, EXEC per
-// kernel per iteration, and STFB for each result instance the schedule
-// stores (using the address the instance occupied when produced).
+// learn every instance's address, then lowers the schedule with the
+// replay's event log (see GenerateFrom).
 func Generate(s *core.Schedule) (*Program, error) {
 	rep, err := core.Allocate(s, true)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
+	return GenerateFrom(s, rep)
+}
 
+// GenerateFrom lowers the schedule using an allocation report the caller
+// already holds: the full report core.Allocate(s, true) returns for this
+// schedule (a summary report has no events to lower). It emits per
+// visit: LDCTXT for each kernel whose contexts move, LDFB for each input
+// instance, EXEC per kernel per iteration, and STFB for each result
+// instance the schedule stores (using the address the instance occupied
+// when produced).
+func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error) {
 	// Group allocation events by visit (block, cluster); they were
 	// produced in visit order, so a simple cursor suffices.
 	type visitKey struct{ block, cluster int }

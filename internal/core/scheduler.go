@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cds/internal/app"
 	"cds/internal/arch"
@@ -381,58 +382,97 @@ func buildRetainedLookups(retained []Retained, info *extract.Info) retainedLooku
 // The replay can only fail on a broken Context Memory invariant
 // (scherr.ErrInternal); the expected arch.ErrDoesNotFit outcome for a
 // kernel bigger than the whole CM is absorbed as a full reload per visit.
+//
+// It runs once per RF candidate of the data schedulers' RF guard, so it
+// allocates little: a cluster moves the same data in every visit (only
+// the iteration count scales the bytes), so its loads and stores are
+// resolved once, and every visit's Loads, Stores and CtxLoads are carved
+// from one slab sized for the whole schedule.
 func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retained []Retained, perKernelLoads bool) error {
 	a := info.P.App
 	rl := buildRetainedLookups(retained, info)
 	cm := arch.NewContextMemory(pa.CMWords)
 
-	for b, iters := range blocks(a.Iterations, rf) {
-		for _, ci := range info.Clusters {
+	// perIter holds every cluster's per-iteration loads then stores;
+	// cluster i's are perIter[bounds[i]:split[i]] and
+	// perIter[split[i]:bounds[i+1]].
+	var perIter []Movement
+	bounds := make([]int, len(info.Clusters)+1)
+	split := make([]int, len(info.Clusters))
+	visitCap := 0
+	for i, ci := range info.Clusters {
+		c := ci.Cluster
+		bounds[i] = len(perIter)
+		// Data loads.
+		if perKernelLoads {
+			// Basic Scheduler: each kernel transfers its own copy of
+			// its cluster-external inputs. Streamed inputs are the
+			// exception even here: a streamed datum arrives just in
+			// time for its first consumer and stays placed for the
+			// rest of the visit, so a second consumer reads the
+			// resident copy rather than transferring its own.
+			charged := len(perIter)
+			for _, ki := range c.Kernels {
+				for _, name := range a.Kernels[ki].Inputs {
+					if p, produced := a.Producer(name); produced && c.Contains(p) {
+						continue // intra-cluster intermediate
+					}
+					if a.IsStreamed(name) && slices.ContainsFunc(perIter[charged:], func(m Movement) bool { return m.Datum == name }) {
+						continue
+					}
+					perIter = append(perIter, Movement{Datum: name, Bytes: a.SizeOf(name)})
+				}
+			}
+		} else {
+			for _, name := range ci.ExternalIn {
+				if loader, ok := rl.loaderCluster[retKey{name, c.Set}]; ok && loader != c.Index {
+					continue // resident: retained by an earlier cluster or kept since production
+				}
+				perIter = append(perIter, Movement{Datum: name, Bytes: a.SizeOf(name)})
+			}
+		}
+		split[i] = len(perIter)
+		// Result stores.
+		for _, name := range ci.PersistentOut {
+			if rl.skipStore[retKey{name, c.Set}] {
+				continue
+			}
+			perIter = append(perIter, Movement{Datum: name, Bytes: a.SizeOf(name)})
+		}
+		visitCap += len(perIter) - bounds[i] + len(c.Kernels)
+	}
+	bounds[len(info.Clusters)] = len(perIter)
+
+	iterBlocks := blocks(a.Iterations, rf)
+	s.Visits = make([]Visit, 0, len(iterBlocks)*len(info.Clusters))
+	slab := make([]Movement, 0, len(iterBlocks)*visitCap)
+	// carve closes the movements appended to the slab since start into
+	// one visit's list (nil when empty, capacity capped so an append by
+	// a later reader copies instead of overwriting the next visit's).
+	carve := func(start int) []Movement {
+		if len(slab) == start {
+			return nil
+		}
+		return slab[start:len(slab):len(slab)]
+	}
+	scaled := func(ms []Movement, iters int) []Movement {
+		start := len(slab)
+		for _, m := range ms {
+			slab = append(slab, Movement{Datum: m.Datum, Bytes: iters * m.Bytes})
+		}
+		return carve(start)
+	}
+
+	for b, iters := range iterBlocks {
+		for i, ci := range info.Clusters {
 			c := ci.Cluster
 			v := Visit{
 				Cluster: c.Index,
 				Set:     c.Set,
 				Block:   b,
 				Iters:   iters,
-			}
-			// Data loads.
-			if perKernelLoads {
-				// Basic Scheduler: each kernel transfers its own
-				// copy of its cluster-external inputs. Streamed
-				// inputs are the exception even here: a streamed
-				// datum arrives just in time for its first consumer
-				// and stays placed for the rest of the visit, so a
-				// second consumer reads the resident copy rather
-				// than transferring its own.
-				streamedCharged := map[string]bool{}
-				for _, ki := range c.Kernels {
-					for _, name := range a.Kernels[ki].Inputs {
-						if p, produced := a.Producer(name); produced && c.Contains(p) {
-							continue // intra-cluster intermediate
-						}
-						if a.IsStreamed(name) {
-							if streamedCharged[name] {
-								continue
-							}
-							streamedCharged[name] = true
-						}
-						v.Loads = append(v.Loads, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
-					}
-				}
-			} else {
-				for _, name := range ci.ExternalIn {
-					if loader, ok := rl.loaderCluster[retKey{name, c.Set}]; ok && loader != c.Index {
-						continue // resident: retained by an earlier cluster or kept since production
-					}
-					v.Loads = append(v.Loads, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
-				}
-			}
-			// Result stores.
-			for _, name := range ci.PersistentOut {
-				if rl.skipStore[retKey{name, c.Set}] {
-					continue
-				}
-				v.Stores = append(v.Stores, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
+				Loads:   scaled(perIter[bounds[i]:split[i]], iters),
+				Stores:  scaled(perIter[split[i]:bounds[i+1]], iters),
 			}
 			// Context loads: once per visit per context group at
 			// most, fewer if the group survived in the CM. The Basic
@@ -446,6 +486,7 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 			if perKernelLoads {
 				cm.Reset()
 			}
+			ctxStart := len(slab)
 			for _, ki := range c.Kernels {
 				k := a.Kernels[ki]
 				moved, err := cm.Load(k.CtxGroup(), k.ContextWords)
@@ -464,11 +505,12 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 					moved = k.ContextWords
 				}
 				if moved > 0 {
-					v.CtxLoads = append(v.CtxLoads, Movement{Datum: k.CtxGroup(), Bytes: moved})
+					slab = append(slab, Movement{Datum: k.CtxGroup(), Bytes: moved})
 				}
 				v.CtxWords += moved
 				v.ComputeCycles += iters * k.ComputeCycles
 			}
+			v.CtxLoads = carve(ctxStart)
 			s.Visits = append(s.Visits, v)
 		}
 	}

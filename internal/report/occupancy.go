@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"cds/internal/core"
@@ -42,6 +43,9 @@ func Occupancy(w io.Writer, events []core.AllocEvent, set, fbBytes, cols int) {
 		for _, iv := range live {
 			snap = append(snap, iv)
 		}
+		// A row band can cover several objects; the lowest-addressed
+		// one names the cell, whatever the map's iteration order.
+		sort.Slice(snap, func(i, j int) bool { return snap[i].addr < snap[j].addr })
 		snapshots = append(snapshots, snap)
 	}
 	if len(snapshots) == 0 {

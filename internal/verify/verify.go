@@ -91,7 +91,7 @@ func Schedule(s *core.Schedule) error {
 	if err := checkTimeline(s); err != nil {
 		return err
 	}
-	prog, err := codegen.Generate(s)
+	prog, err := codegen.GenerateFrom(s, rep)
 	if err != nil {
 		return &Error{Invariant: "residency", Err: err}
 	}
