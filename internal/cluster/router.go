@@ -32,16 +32,19 @@ package cluster
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"cds/internal/rescache"
 	"cds/internal/spec"
 	"cds/internal/workloads"
 )
@@ -151,13 +154,32 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	writeRouterJSON(w, http.StatusOK, rt.fleet.Snapshot())
 }
 
-// compareRoutingKey resolves a compare request body to its partition
+// routeMemoEntries bounds the routing-key memo. An entry is a body
+// digest and a ~40-byte routing key, so 4096 of them cost well under a
+// megabyte while covering every pool the fleet's result caches can hold
+// resident at once.
+const routeMemoEntries = 4096
+
+// routeMemo maps the SHA-256 digest of a compare body to its routing
+// key. The key is a pure function of the body bytes (the fallback
+// included), so every body is parsed at most once per router process.
+var routeMemo = rescache.New("cluster.route", routeMemoEntries)
+
+// compareRoutingKey is routingKeyOf through the memo. The returned
+// slice is shared: callers must not modify it.
+func compareRoutingKey(body []byte) []byte {
+	return routeMemo.Do(sha256.Sum256(body), func() (any, bool) {
+		return routingKeyOf(body), true
+	}).([]byte)
+}
+
+// routingKeyOf resolves a compare request body to its partition
 // fingerprint — the SAME fingerprint the worker's result cache keys on,
 // resolved the same way (workload table or embedded spec). Requests the
 // router cannot resolve (unknown workload, bad spec) hash by raw body:
 // they still route deterministically, and the worker stays the single
 // authority for the 400.
-func compareRoutingKey(body []byte) []byte {
+func routingKeyOf(body []byte) []byte {
 	var req struct {
 		Workload string          `json:"workload"`
 		Spec     json.RawMessage `json:"spec"`
@@ -186,7 +208,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// none, reused verbatim across every failover attempt.
 	idemKey := r.Header.Get("Idempotency-Key")
 	if idemKey == "" {
-		idemKey = fmt.Sprintf("rt-%s-%d", rt.nonce, rt.minted.Add(1))
+		idemKey = "rt-" + rt.nonce + "-" + strconv.FormatInt(rt.minted.Add(1), 10)
 	}
 	rt.forward(w, r, compareRoutingKey(body), body, idemKey)
 }
@@ -298,7 +320,7 @@ func (b *bufferedResponse) relay(w http.ResponseWriter, attempts int) {
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set(AttemptsHeader, fmt.Sprintf("%d", attempts))
+	w.Header().Set(AttemptsHeader, strconv.Itoa(attempts))
 	w.WriteHeader(b.status)
 	w.Write(b.body)
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +256,8 @@ func mustFingerprint(t *testing.T) [32]byte {
 	return e.Part.Fingerprint()
 }
 
+var mintedKeyRE = regexp.MustCompile(`^rt-[0-9a-f]{16}-1$`)
+
 func TestRouterMintsKeysWhenClientSendsNone(t *testing.T) {
 	w0 := newFakeWorker(t, "w0")
 	fleet := fastFleet(t, w0)
@@ -271,8 +274,9 @@ func TestRouterMintsKeysWhenClientSendsNone(t *testing.T) {
 	if len(keys) != 2 || keys[0] == "" || keys[0] == keys[1] {
 		t.Fatalf("minted keys = %v, want two distinct non-empty keys", keys)
 	}
-	if !strings.HasPrefix(keys[0], "rt-") {
-		t.Fatalf("minted key %q missing router prefix", keys[0])
+	// The format is rt-<16 hex nonce>-<per-process counter>.
+	if !mintedKeyRE.MatchString(keys[0]) || keys[1] != strings.TrimSuffix(keys[0], "-1")+"-2" {
+		t.Fatalf("minted keys %v, want rt-<nonce>-1 then rt-<nonce>-2", keys)
 	}
 
 	// A second router over the same fleet — the restart scenario, where

@@ -177,8 +177,9 @@ func Snapshot() map[string]Counters {
 	return out
 }
 
-// New returns a cache holding at most max entries, registered under
-// name in the process-wide "rescache" expvar.
+// New returns a cache holding at most max entries once its in-flight
+// computations settle, registered under name in the process-wide
+// "rescache" expvar.
 func New(name string, max int) *Cache {
 	publishExpvar()
 	if max < 1 {
@@ -216,22 +217,33 @@ func (c *Cache) Do(key Key, compute func() (val any, cacheable bool)) any {
 		e = &entry{}
 		e.elem = c.order.PushBack(key)
 		c.entries[key] = e
-		for c.order.Len() > c.max {
-			oldest := c.order.Remove(c.order.Front()).(Key)
-			delete(c.entries, oldest)
-			c.evictions.Add(1)
-		}
 	}
 	c.mu.Unlock()
 
 	e.once.Do(func() {
 		e.val, e.keep = compute()
 		e.done.Store(true)
-		if !e.keep {
+		if e.keep {
+			c.trim()
+		} else {
 			c.remove(key, e)
 		}
 	})
 	return e.val
+}
+
+// trim evicts least-recently-used entries down to the bound. It runs
+// when a computation turns out cacheable, not when its key is first
+// inserted: an outcome that is dropped anyway (a rejected request, a
+// cancellation) never costs a resident entry its place.
+func (c *Cache) trim() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.order.Len() > c.max {
+		oldest := c.order.Remove(c.order.Front()).(Key)
+		delete(c.entries, oldest)
+		c.evictions.Add(1)
+	}
 }
 
 // Get returns the completed cached value for key without computing

@@ -112,6 +112,29 @@ func TestNonCacheableOutcomesRecompute(t *testing.T) {
 	}
 }
 
+// TestNonCacheableOutcomesNeverEvict: at the bound, a computation whose
+// outcome is dropped leaves every resident entry in place.
+func TestNonCacheableOutcomesNeverEvict(t *testing.T) {
+	c := New("test.noevict", 2)
+	pa := arch.M1()
+	p := testPart(t, "noevict", 64)
+	k1, k2, k3 := KeyOf(pa, p, "1"), KeyOf(pa, p, "2"), KeyOf(pa, p, "3")
+	c.Do(k1, func() (any, bool) { return "a", true })
+	c.Do(k2, func() (any, bool) { return "b", true })
+	c.Do(k3, func() (any, bool) { return "rejected", false })
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.Len())
+	}
+	for _, k := range []Key{k1, k2} {
+		if _, ok := c.Get(k); !ok {
+			t.Error("a non-cacheable outcome evicted a resident entry")
+		}
+	}
+	if _, _, ev := c.Stats(); ev != 0 {
+		t.Errorf("evictions = %d, want 0", ev)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := New("test.lru", 2)
 	pa := arch.M1()

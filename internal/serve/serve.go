@@ -492,8 +492,57 @@ type CompareResponse struct {
 	Traces []trace.Analytics `json:"traces,omitempty"`
 }
 
+// resolveMemoEntries bounds the resolve memo. It equals the
+// cds.compare_all result cache's bound: a body worth remembering is one
+// whose comparison can be resident, and a resident comparison already
+// pins its partition through Schedule.P, so for those bodies the memo
+// adds only a digest, an arch and a target string per entry.
+const resolveMemoEntries = 512
+
+// resolveMemo maps the SHA-256 digest of a /v1/compare body to its
+// resolution. Resolving is a pure function of the body bytes — the
+// request decode, the spec validation and build, the workload table and
+// the arch presets read nothing else — so a body repeated by a client
+// (or re-posted by the router) is decoded, validated and fingerprinted
+// at most once per process. Only successful resolutions are kept: an
+// invalid body is decoded and rejected afresh every time.
+var resolveMemo = rescache.New("serve.resolve", resolveMemoEntries)
+
+// resolution is one compare body resolved: the machine and partition to
+// schedule, the breaker target and the result-cache key. err is set
+// (and the rest zero) when the body is rejected.
+type resolution struct {
+	pa     cds.Arch
+	part   *cds.Part
+	target string
+	key    rescache.Key
+	err    error
+}
+
+// resolveBody resolves a compare body through the memo; digest is
+// sha256.Sum256(body).
+func resolveBody(body []byte, digest rescache.Key) *resolution {
+	return resolveMemo.Do(digest, func() (any, bool) {
+		res := resolveFresh(body)
+		return res, res.err == nil
+	}).(*resolution)
+}
+
+// resolveFresh is the uncached resolution: decode, resolve, key.
+func resolveFresh(body []byte) *resolution {
+	var req CompareRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return &resolution{err: fmt.Errorf("decoding request body: %v: %w", err, scherr.ErrInvalidSpec)}
+	}
+	pa, part, target, err := resolve(req)
+	if err != nil {
+		return &resolution{err: err}
+	}
+	return &resolution{pa: pa, part: part, target: target, key: cds.ComparisonKey(pa, part)}
+}
+
 // resolve turns a compare request into (arch, partition, breaker target).
-func (s *Server) resolve(req CompareRequest) (cds.Arch, *cds.Part, string, error) {
+func resolve(req CompareRequest) (cds.Arch, *cds.Part, string, error) {
 	if len(req.Spec) > 0 {
 		if req.Workload != "" {
 			return cds.Arch{}, nil, "", fmt.Errorf("request names both a workload and a spec: %w", scherr.ErrInvalidSpec)
@@ -563,20 +612,22 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if !s.checkTenant(w, r) {
 		return
 	}
-	// The body is read up front so the idempotency store can fingerprint
-	// it: replay is only safe for a true duplicate (same key, same body).
+	// The body is read up front and hashed once: the digest is both the
+	// idempotency store's body fingerprint (replay is only safe for a
+	// true duplicate: same key, same body) and the resolve memo's key.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.writeErr(w, fmt.Errorf("reading request body: %v: %w", err, scherr.ErrInvalidSpec))
 		return
 	}
+	digest := sha256.Sum256(body)
 	// Idempotency: a duplicated submission (a client retry through a
 	// flaky network) with the same Idempotency-Key never double-runs —
 	// it waits for the first attempt and replays its 2xx answer. A key
 	// reused with a DIFFERENT body is a collision: it runs for real,
 	// outside the store (finish == nil).
 	if key := r.Header.Get("Idempotency-Key"); key != "" {
-		finish, proceed := s.idemBegin(w, r, key, sha256.Sum256(body))
+		finish, proceed := s.idemBegin(w, r, key, digest)
 		if !proceed {
 			return
 		}
@@ -586,16 +637,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			defer func() { finish(rec.status, rec.buf.Bytes()) }()
 		}
 	}
-	var req CompareRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeErr(w, fmt.Errorf("decoding request body: %v: %w", err, scherr.ErrInvalidSpec))
+	res := resolveBody(body, digest)
+	if res.err != nil {
+		s.writeErr(w, res.err)
 		return
 	}
-	pa, part, target, err := s.resolve(req)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	pa, part, target := res.pa, res.part, res.target
 	wantTrace := r.URL.Query().Get("trace") == "1"
 
 	// Cache fast path: a resident memoized comparison answers before the
@@ -606,11 +653,11 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	cacheFast := s.cfg.Compare == nil && s.cfg.Machine == nil
 	var key *rescache.Key
 	if cacheFast {
-		// One canonical hash serves the whole request: the local lookup,
-		// the peer fill and the eventual computation all address it.
-		k := cds.ComparisonKey(pa, part)
-		key = &k
-		if cmp, ok := cds.LookupComparisonByKey(k); ok {
+		// One canonical hash, taken with the resolution, serves the whole
+		// request: the local lookup, the peer fill and the eventual
+		// computation all address it.
+		key = &res.key
+		if cmp, ok := cds.LookupComparisonByKey(res.key); ok {
 			s.served.Add(1)
 			s.cacheHits.Add(1)
 			w.Header().Set("Server-Timing", "cache;desc=hit")

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -253,8 +254,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	close(release)
 	s := tenantServer(2, []TenantSpec{{ID: "video", Weight: 2}, {ID: "radar"}}, release, nil)
 
-	if w := postTenant(t, s.Handler(), "/v1/compare", "video", `{"workload":"MPEG"}`); w.Code != http.StatusOK {
-		t.Fatalf("compare = %d: %s", w.Code, w.Body.String())
+	// Posting the same body twice makes the second resolution a
+	// serve.resolve memo hit.
+	for i := 0; i < 2; i++ {
+		if w := postTenant(t, s.Handler(), "/v1/compare", "video", `{"workload":"MPEG"}`); w.Code != http.StatusOK {
+			t.Fatalf("compare = %d: %s", w.Code, w.Body.String())
+		}
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
@@ -265,9 +270,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := w.Body.String()
 	for _, want := range []string{
-		"schedd_served_total 1",
-		"rescache_hits_total{cache=",
-		`tenant_admitted_total{tenant="video"} 1`,
+		"schedd_served_total 2",
+		`rescache_hits_total{cache="serve.resolve"}`,
+		`tenant_admitted_total{tenant="video"} 2`,
 		`tenant_admitted_total{tenant="radar"} 0`,
 		`tenant_weight{tenant="video"} 2`,
 		`tenant_queue_depth{tenant="video"} 0`,
@@ -275,5 +280,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	if !regexp.MustCompile(`(?m)^rescache_hits_total\{cache="serve.resolve"\} [1-9][0-9]*$`).MatchString(body) {
+		t.Errorf("serve.resolve shows no hit after a repeated body:\n%s", body)
 	}
 }
